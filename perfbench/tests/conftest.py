@@ -1,0 +1,14 @@
+"""Put the checkout's ``src`` and root on the import path for these tests.
+
+Run them from the repository root::
+
+    python -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (str(ROOT / "src"), str(ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
